@@ -2,6 +2,8 @@ package lint
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -117,5 +119,43 @@ func TestMainExitCodes(t *testing.T) {
 
 	if code, _, errb := runMain("-diff", "testdata/src/clean"); code != ExitError || !strings.Contains(errb, "-diff requires -fix") {
 		t.Errorf("-diff without -fix: code=%d err=%q, want exit 2", code, errb)
+	}
+}
+
+// TestLoadAllSkipsNestedModules pins the ./... expansion at module
+// boundaries: a subdirectory with its own go.mod is a separate module the go
+// tool leaves out of ./..., so binelint must leave it out too.
+func TestLoadAllSkipsNestedModules(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":         "module outer\n\ngo 1.24\n",
+		"a/a.go":         "package a\n",
+		"inner/go.mod":   "module inner\n\ngo 1.24\n",
+		"inner/b/b.go":   "package b\n",
+		"inner/inner.go": "package inner\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ldr, err := NewLoader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := ldr.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+	}
+	if len(paths) != 1 || paths[0] != "outer/a" {
+		t.Fatalf("LoadAll = %v, want [outer/a]", paths)
 	}
 }

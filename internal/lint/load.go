@@ -107,10 +107,15 @@ func modulePath(gomod string) (string, error) {
 
 // skipDir reports whether a directory is excluded from LoadAll: testdata
 // trees (the golden-diagnostics packages deliberately violate the rules),
-// VCS/hidden directories, and underscore-prefixed directories, matching the
-// go tool's ./... expansion.
-func skipDir(name string) bool {
-	return name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
+// VCS/hidden directories, underscore-prefixed directories, and nested
+// modules (a subdirectory with its own go.mod), matching the go tool's
+// ./... expansion.
+func skipDir(path, name string) bool {
+	if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		return true
+	}
+	_, err := os.Stat(filepath.Join(path, "go.mod"))
+	return err == nil
 }
 
 // LoadAll loads every package under the module root (the binelint ./...
@@ -122,7 +127,7 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 			return err
 		}
 		if d.IsDir() {
-			if path != l.ModRoot && skipDir(d.Name()) {
+			if path != l.ModRoot && skipDir(path, d.Name()) {
 				return filepath.SkipDir
 			}
 			return nil

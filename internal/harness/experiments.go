@@ -224,17 +224,17 @@ func planFig5(opts Options) (*plan, error) {
 // configurations won/lost against the best binomial baseline, the
 // average/max gain and drop, and the average/max global-traffic reduction.
 func TableBinomial(ctx context.Context, w io.Writer, sys System, opts Options) error {
-	p, err := planTableBinomial(sys, opts)
+	p, err := planTableBinomial(sys, opts, newSweepTable())
 	return runPlan(ctx, w, p, err, opts)
 }
 
-func planTableBinomial(sys System, opts Options) (*plan, error) {
+func planTableBinomial(sys System, opts Options, tab *sweepTable) (*plan, error) {
 	counts := opts.nodeCounts(sys)
 	sizes := opts.sizes()
 	var tasks []task
 	finishes := make([]func() *sweepResult, len(coll.Collectives))
 	for ci, collective := range coll.Collectives {
-		ts, finish, err := planSweep(sys, collective, counts, sizes)
+		ts, finish, err := tab.sweep(sys, collective, counts, sizes)
 		if err != nil {
 			return nil, err
 		}
@@ -308,14 +308,14 @@ func familyLetter(res *sweepResult, name string) string {
 // size) cell of the allreduce sweep, either the Bine speedup over the best
 // baseline (when Bine wins) or the letter of the winning baseline.
 func HeatmapAllreduce(ctx context.Context, w io.Writer, sys System, opts Options) error {
-	p, err := planHeatmapAllreduce(sys, opts)
+	p, err := planHeatmapAllreduce(sys, opts, newSweepTable())
 	return runPlan(ctx, w, p, err, opts)
 }
 
-func planHeatmapAllreduce(sys System, opts Options) (*plan, error) {
+func planHeatmapAllreduce(sys System, opts Options, tab *sweepTable) (*plan, error) {
 	counts := opts.nodeCounts(sys)
 	sizes := opts.sizes()
-	tasks, finish, err := planSweep(sys, coll.CAllreduce, counts, sizes)
+	tasks, finish, err := tab.sweep(sys, coll.CAllreduce, counts, sizes)
 	if err != nil {
 		return nil, err
 	}
@@ -363,17 +363,17 @@ func planHeatmapAllreduce(sys System, opts Options) (*plan, error) {
 // distribution of Bine's improvement over the best baseline in the
 // configurations where Bine wins, plus the win percentage.
 func Boxplots(ctx context.Context, w io.Writer, sys System, opts Options) error {
-	p, err := planBoxplots(sys, opts)
+	p, err := planBoxplots(sys, opts, newSweepTable())
 	return runPlan(ctx, w, p, err, opts)
 }
 
-func planBoxplots(sys System, opts Options) (*plan, error) {
+func planBoxplots(sys System, opts Options, tab *sweepTable) (*plan, error) {
 	counts := opts.nodeCounts(sys)
 	sizes := opts.sizes()
 	var tasks []task
 	finishes := make([]func() *sweepResult, len(coll.Collectives))
 	for ci, collective := range coll.Collectives {
-		ts, finish, err := planSweep(sys, collective, counts, sizes)
+		ts, finish, err := tab.sweep(sys, collective, counts, sizes)
 		if err != nil {
 			return nil, err
 		}
@@ -418,15 +418,15 @@ func planBoxplots(sys System, opts Options) (*plan, error) {
 // (node count, vector size) cell of the allgather sweep on the LUMI-like
 // system, and its gain over the binomial butterfly.
 func Fig14(ctx context.Context, w io.Writer, opts Options) error {
-	p, err := planFig14(opts)
+	p, err := planFig14(opts, newSweepTable())
 	return runPlan(ctx, w, p, err, opts)
 }
 
-func planFig14(opts Options) (*plan, error) {
+func planFig14(opts Options, tab *sweepTable) (*plan, error) {
 	sys := LUMI()
 	counts := opts.nodeCounts(sys)
 	sizes := opts.sizes()
-	tasks, finish, err := planSweep(sys, coll.CAllgather, counts, sizes)
+	tasks, finish, err := tab.sweep(sys, coll.CAllgather, counts, sizes)
 	if err != nil {
 		return nil, err
 	}

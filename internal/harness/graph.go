@@ -35,9 +35,11 @@ type task struct {
 
 // plan is one experiment compiled for the job graph: tasks that may run in
 // any order on any pool, and a render that serially writes the artifact
-// once every task has completed. A render only reads state its own plan's
-// tasks wrote into index-addressed slots, so the artifact is byte-identical
-// however the tasks interleave — drained per experiment or across the whole
+// once every task of the compile has completed. A render only reads state
+// that tasks of the same compile wrote into index-addressed slots — its own
+// plan's, or, for a sweep an earlier plan of the compile already claimed in
+// the sweepTable, that plan's — so the artifact is byte-identical however
+// the tasks interleave, drained per experiment or across the whole
 // cross-system graph (pinned by TestShardedRunAllByteIdentical).
 type plan struct {
 	tasks  []task
@@ -119,32 +121,33 @@ func SystemKeys() []string {
 
 // step is one entry of the experiment sequence: its artifact name, the
 // system keys it contributes to (the -systems selector keeps a step if any
-// of its keys is selected), and its plan compiler.
+// of its keys is selected), and its plan compiler, which takes the
+// compile's sweep table.
 type step struct {
 	name    string
 	systems []string
-	plan    func(opts Options) (*plan, error)
+	plan    func(opts Options, tab *sweepTable) (*plan, error)
 }
 
 func steps() []step {
 	lumi, leo, mare := LUMI(), Leonardo(), MareNostrum()
 	return []step{
-		{"fig1", []string{systemMisc}, func(Options) (*plan, error) { return planFig1() }},
-		{"eq2", []string{systemMisc}, func(Options) (*plan, error) { return planEq2() }},
-		{"fig5", []string{leo.Key, lumi.Key}, planFig5},
-		{"table3", []string{lumi.Key}, func(o Options) (*plan, error) { return planTableBinomial(lumi, o) }},
-		{"fig9a", []string{lumi.Key}, func(o Options) (*plan, error) { return planHeatmapAllreduce(lumi, o) }},
-		{"fig9b", []string{lumi.Key}, func(o Options) (*plan, error) { return planBoxplots(lumi, o) }},
-		{"table4", []string{leo.Key}, func(o Options) (*plan, error) { return planTableBinomial(leo, o) }},
-		{"fig10a", []string{leo.Key}, func(o Options) (*plan, error) { return planHeatmapAllreduce(leo, o) }},
-		{"fig10b", []string{leo.Key}, func(o Options) (*plan, error) { return planBoxplots(leo, o) }},
-		{"table5", []string{mare.Key}, func(o Options) (*plan, error) { return planTableBinomial(mare, o) }},
-		{"fig11a", []string{mare.Key}, func(o Options) (*plan, error) { return planBoxplots(mare, o) }},
-		{"fig11b", []string{systemFugaku}, planFig11b},
+		{"fig1", []string{systemMisc}, func(Options, *sweepTable) (*plan, error) { return planFig1() }},
+		{"eq2", []string{systemMisc}, func(Options, *sweepTable) (*plan, error) { return planEq2() }},
+		{"fig5", []string{leo.Key, lumi.Key}, func(o Options, _ *sweepTable) (*plan, error) { return planFig5(o) }},
+		{"table3", []string{lumi.Key}, func(o Options, t *sweepTable) (*plan, error) { return planTableBinomial(lumi, o, t) }},
+		{"fig9a", []string{lumi.Key}, func(o Options, t *sweepTable) (*plan, error) { return planHeatmapAllreduce(lumi, o, t) }},
+		{"fig9b", []string{lumi.Key}, func(o Options, t *sweepTable) (*plan, error) { return planBoxplots(lumi, o, t) }},
+		{"table4", []string{leo.Key}, func(o Options, t *sweepTable) (*plan, error) { return planTableBinomial(leo, o, t) }},
+		{"fig10a", []string{leo.Key}, func(o Options, t *sweepTable) (*plan, error) { return planHeatmapAllreduce(leo, o, t) }},
+		{"fig10b", []string{leo.Key}, func(o Options, t *sweepTable) (*plan, error) { return planBoxplots(leo, o, t) }},
+		{"table5", []string{mare.Key}, func(o Options, t *sweepTable) (*plan, error) { return planTableBinomial(mare, o, t) }},
+		{"fig11a", []string{mare.Key}, func(o Options, t *sweepTable) (*plan, error) { return planBoxplots(mare, o, t) }},
+		{"fig11b", []string{systemFugaku}, func(o Options, _ *sweepTable) (*plan, error) { return planFig11b(o) }},
 		{"fig14", []string{lumi.Key}, planFig14},
-		{"hier", []string{systemMisc}, planHier},
+		{"hier", []string{systemMisc}, func(o Options, _ *sweepTable) (*plan, error) { return planHier(o) }},
 		{"ppn", []string{lumi.Key}, planPPN},
-		{"appD", []string{systemFugaku}, func(Options) (*plan, error) { return planAppD() }},
+		{"appD", []string{systemFugaku}, func(Options, *sweepTable) (*plan, error) { return planAppD() }},
 	}
 }
 
@@ -233,9 +236,12 @@ func RunAllOn(ctx context.Context, w io.Writer, runner *pool.Runner, opts Option
 		endCompile()
 		return fmt.Errorf("harness: %w", err)
 	}
+	// One sweep table for the whole pass: plans reading the same sweep
+	// share its cells instead of compiling their own copies.
+	tab := newSweepTable()
 	plans := make([]*plan, len(selected))
 	for i, s := range selected {
-		p, err := s.plan(opts)
+		p, err := s.plan(opts, tab)
 		if err != nil {
 			endCompile()
 			return fmt.Errorf("harness: %s: %w", s.name, err)
@@ -303,7 +309,7 @@ type Experiment struct {
 func CompileExperiment(name string, opts Options) (*Experiment, error) {
 	for _, s := range steps() {
 		if s.name == name {
-			p, err := s.plan(opts)
+			p, err := s.plan(opts, newSweepTable())
 			if err != nil {
 				return nil, fmt.Errorf("harness: %s: %w", name, err)
 			}

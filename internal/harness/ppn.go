@@ -16,25 +16,21 @@ import (
 // provides matters more — the paper saw the 1 MiB reduce-scatter gain grow
 // from 59% to 84%.
 func PPN(ctx context.Context, w io.Writer, opts Options) error {
-	p, err := planPPN(opts)
+	p, err := planPPN(opts, newSweepTable())
 	return runPlan(ctx, w, p, err, opts)
 }
 
-func planPPN(opts Options) (*plan, error) {
+func planPPN(opts Options, tab *sweepTable) (*plan, error) {
 	sys := LUMI()
 	const nodes = 64
 	sizes := opts.sizes()
-	placements, err := Placements(sys, []int{nodes})
-	if err != nil {
-		return nil, err
-	}
-	nodePlacement := placements[nodes]
 	// Every configuration shares the same 64-node placement, hence the same
 	// tapered topology shares.
-	topo, err := sys.TopologyFor(nodePlacement)
+	m, err := tab.model(sys, []int{nodes})
 	if err != nil {
 		return nil, err
 	}
+	nodePlacement, topo := m.placements[nodes], m.topos[nodes]
 	// One cell per (collective, ppn, algorithm): record (or fetch from the
 	// trace cache) the schedule at the cell's rank count and score every
 	// size. The Bine candidate and the binomial baseline of each row are

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"binetrees/internal/coll"
 )
 
 // serialSuite renders the quick suite the pre-sharding way: every
@@ -132,5 +134,60 @@ func TestRunAllProgressCounters(t *testing.T) {
 		if totals[system] == 0 {
 			t.Errorf("no cells labeled %q", system)
 		}
+	}
+}
+
+// TestRunAllCompilesEachSweepOnce pins the compile-scope sweep table: one
+// quick pass replays the allocator churn once per distinct (system, node
+// counts) — the three sweep systems plus PPN's 64-node LUMI job — compiles
+// each (system, collective) sweep once however many plans read it, and
+// dispatches each cell once. Without the table the same pass replayed
+// Placements 52 times and dispatched 1,426 cells.
+func TestRunAllCompilesEachSweepOnce(t *testing.T) {
+	opts := Options{Quick: true, Workers: runtime.NumCPU()}
+	tab := newSweepTable()
+	for _, s := range steps() {
+		if _, err := s.plan(opts, tab); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+	}
+	wantModels := map[modelKey]bool{
+		{system: "lumi", counts: "[16 32 64 128]"}:        true,
+		{system: "leonardo", counts: "[16 32 64 128]"}:    true,
+		{system: "marenostrum", counts: "[4 8 16 32 64]"}: true,
+		{system: "lumi", counts: "[64]"}:                  true,
+	}
+	if len(tab.models) != len(wantModels) {
+		t.Errorf("%d system models (Placements replays), want %d", len(tab.models), len(wantModels))
+	}
+	for k := range tab.models {
+		if !wantModels[k] {
+			t.Errorf("unexpected system model %+v", k)
+		}
+	}
+	// Tables 3–5 and the boxplots cover every collective; the heatmaps and
+	// Fig. 14 reuse LUMI's and Leonardo's sweeps.
+	if want := 3 * len(coll.Collectives); len(tab.sweeps) != want {
+		t.Errorf("%d sweeps compiled, want %d", len(tab.sweeps), want)
+	}
+
+	ResetTraceCache()
+	defer ResetTraceCache()
+	var mu sync.Mutex
+	totals := map[string]int{}
+	opts.Progress = func(system string, _, total int) {
+		mu.Lock()
+		totals[system] = total
+		mu.Unlock()
+	}
+	if err := RunAll(context.Background(), io.Discard, opts); err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	for _, total := range totals {
+		cells += total
+	}
+	if cells != 711 {
+		t.Fatalf("quick RunAll dispatched %d cells, want 711 (%v)", cells, totals)
 	}
 }

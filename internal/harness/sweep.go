@@ -127,34 +127,99 @@ func synthTrace(algo coll.Algorithm, p, root int) (*fabric.Trace, error) {
 	return tr, nil
 }
 
-// planSweep compiles one collective's sweep — every applicable algorithm
-// over the node counts and sizes on the system's fragmented placements —
-// into flat-graph tasks. Each (node count, algorithm) cell writes into its
-// own slot of an index-addressed slice; finish merges the slots in
-// deterministic order into the sweepResult, so the result — and every
-// artifact rendered from it — is byte-identical to a serial evaluation.
-// Call finish only after every task has run (render time); it caches the
-// merge, so multiple renders are free.
-func planSweep(sys System, collective coll.Collective, counts []int, sizes []int64) ([]task, func() *sweepResult, error) {
+// sweepTable is the compile-scope share of system models and sweeps. One
+// table is created per compile — one RunAllOn, one CompileExperiment, one
+// standalone driver call — and passed to every plan compiler of that
+// compile, so the plans that read the same (system, collective) sweep
+// (Tables 3–5, the Fig. 9a/10a heatmaps, the Fig. 9b/10b/11a boxplots and
+// Fig. 14) place, build, dispatch and evaluate it once. Nothing in it
+// outlives the compile: a cold run stays cold, and no request sees another
+// request's work. Compilation is serial, so the table needs no lock.
+//
+// Systems are keyed by System.Key: one compile sees one System per key.
+type sweepTable struct {
+	models map[modelKey]*systemModel
+	sweeps map[sweepKey]func() *sweepResult
+}
+
+type modelKey struct {
+	system string
+	counts string
+}
+
+type sweepKey struct {
+	system        string
+	collective    coll.Collective
+	counts, sizes string
+}
+
+// systemModel is a system as a set of jobs experiences it: the fragmented
+// placement of every node count and the topology built for that placement.
+// Cells share it read-only.
+type systemModel struct {
+	placements map[int][]int
+	topos      map[int]topology.Topology
+}
+
+func newSweepTable() *sweepTable {
+	return &sweepTable{models: map[modelKey]*systemModel{}, sweeps: map[sweepKey]func() *sweepResult{}}
+}
+
+// model returns the system model for the node counts, replaying the
+// allocator churn and building the topologies on first use.
+func (t *sweepTable) model(sys System, counts []int) (*systemModel, error) {
+	k := modelKey{system: sys.Key, counts: fmt.Sprint(counts)}
+	if m, ok := t.models[k]; ok {
+		return m, nil
+	}
 	placements, err := Placements(sys, counts)
+	if err != nil {
+		return nil, err
+	}
+	m := &systemModel{placements: placements, topos: make(map[int]topology.Topology, len(counts))}
+	for _, p := range counts {
+		topo, err := sys.TopologyFor(placements[p])
+		if err != nil {
+			return nil, err
+		}
+		m.topos[p] = topo
+	}
+	t.models[k] = m
+	return m, nil
+}
+
+// sweep returns one collective's sweep — every applicable algorithm over
+// the node counts and sizes on the system's fragmented placements — as
+// flat-graph tasks plus the finish that merges them. The first plan to ask
+// for a sweep gets its tasks; a later plan gets only the shared finish, as
+// the cells are already in the compile's job graph. Call finish only after
+// every task of the compile has run (render time).
+func (t *sweepTable) sweep(sys System, collective coll.Collective, counts []int, sizes []int64) ([]task, func() *sweepResult, error) {
+	k := sweepKey{system: sys.Key, collective: collective, counts: fmt.Sprint(counts), sizes: fmt.Sprint(sizes)}
+	if finish, ok := t.sweeps[k]; ok {
+		return nil, finish, nil
+	}
+	m, err := t.model(sys, counts)
 	if err != nil {
 		return nil, nil, err
 	}
+	tasks, finish := planSweep(sys, m, collective, counts, sizes)
+	t.sweeps[k] = finish
+	return tasks, finish, nil
+}
+
+// planSweep compiles one collective's sweep on a system model into
+// flat-graph tasks. Each (node count, algorithm) cell writes into its own
+// slot of an index-addressed slice; finish merges the slots in
+// deterministic order into the sweepResult, so the result — and every
+// artifact rendered from it — is byte-identical to a serial evaluation.
+// finish caches the merge, so multiple renders are free.
+func planSweep(sys System, m *systemModel, collective coll.Collective, counts []int, sizes []int64) ([]task, func() *sweepResult) {
 	var algos []coll.Algorithm
 	for _, a := range coll.ByCollective(coll.Registry(), collective) {
 		if !sys.ExcludesAlgorithm(a.Name) {
 			algos = append(algos, a)
 		}
-	}
-	// The topology share depends only on the placement; build each count's
-	// model once, up front, and let the tasks share it read-only.
-	topos := make(map[int]topology.Topology, len(counts))
-	for _, p := range counts {
-		topo, err := sys.TopologyFor(placements[p])
-		if err != nil {
-			return nil, nil, err
-		}
-		topos[p] = topo
 	}
 	type job struct {
 		p    int
@@ -190,8 +255,8 @@ func planSweep(sys System, collective coll.Collective, counts []int, sizes []int
 				elemBytes[si] = float64(size) / float64(j.p)
 				copyBytes[si] = j.algo.CopyFactor * float64(size)
 			}
-			rs, err := netsim.EvaluateSizes(tr, topos[j.p], sys.Params, netsim.Eval{
-				Placement:   placements[j.p],
+			rs, err := netsim.EvaluateSizes(tr, m.topos[j.p], sys.Params, netsim.Eval{
+				Placement:   m.placements[j.p],
 				Reduces:     collective.Reduces(),
 				Overlap:     j.algo.Overlap,
 				CopyBytesAt: copyBytes,
@@ -223,15 +288,16 @@ func planSweep(sys System, collective coll.Collective, counts []int, sizes []int
 		}
 		return res
 	}
-	return tasks, finish, nil
+	return tasks, finish
 }
 
-// sweepCollective is the standalone form of planSweep: it drains the tasks
-// on its own pool of the given width and returns the merged result. ctx
-// bounds cell dispatch — a cancelled caller stops submitting cells and the
-// cancellation error surfaces here (pinned by TestSweepCollectiveCancel).
+// sweepCollective is the standalone form of a sweep: it compiles the sweep
+// on its own table, drains the tasks on its own pool of the given width and
+// returns the merged result. ctx bounds cell dispatch — a cancelled caller
+// stops submitting cells and the cancellation error surfaces here (pinned
+// by TestSweepCollectiveCancel).
 func sweepCollective(ctx context.Context, sys System, collective coll.Collective, counts []int, sizes []int64, workers int) (*sweepResult, error) {
-	tasks, finish, err := planSweep(sys, collective, counts, sizes)
+	tasks, finish, err := newSweepTable().sweep(sys, collective, counts, sizes)
 	if err != nil {
 		return nil, err
 	}

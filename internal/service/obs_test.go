@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -203,6 +204,11 @@ func TestTracezTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The server records the trace and the access-log line before it ends
+	// the chunked body, so only EOF proves both have landed.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("artifact: %d", resp.StatusCode)
@@ -272,6 +278,11 @@ func TestAccessLog(t *testing.T) {
 	req.Header.Set("X-Request-ID", "log-pin")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
+		t.Fatal(err)
+	}
+	// The server records the trace and the access-log line before it ends
+	// the chunked body, so only EOF proves both have landed.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()

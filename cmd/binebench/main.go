@@ -29,8 +29,8 @@
 // recordings, evictions, and the resident columnar footprint) to stderr so
 // warm and cold runs are observable, followed by the per-stage latency
 // breakdown — compile, execute, render, cache-lookup, store-load, synth,
-// fabric-record, evaluate — and the per-origin resolve histograms (count,
-// total, p50/p95/p99). -obs-json dumps the full metric registry (counters,
+// fabric-record, evaluate — the per-origin resolve histograms (count,
+// total, p50/p95/p99) and the process's peak resident set size. -obs-json dumps the full metric registry (counters,
 // gauges, histogram buckets) as JSON for offline analysis; it shares one
 // metric vocabulary with binebenchd's /metrics endpoint, so sweep runs and
 // served runs are joinable.
@@ -56,6 +56,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -117,9 +118,10 @@ func main() {
 	}
 }
 
-// printStageBreakdown renders the pipeline stage and resolver-origin latency
-// histograms accumulated over the run — the -v observability report. Stages
-// with no observations (e.g. store-load without -trace-cache) are omitted.
+// printStageBreakdown renders the process's peak RSS and the pipeline stage
+// and resolver-origin latency histograms accumulated over the run — the -v
+// observability report. Stages with no observations (e.g. store-load
+// without -trace-cache) are omitted.
 func printStageBreakdown(w io.Writer) {
 	var stages, resolves []obs.MetricSnapshot
 	for _, s := range obs.Default.Snapshot() {
@@ -144,8 +146,35 @@ func printStageBreakdown(w io.Writer) {
 				s.Labels, h.Count, h.Sum, fmtSeconds(h.P50), fmtSeconds(h.P95), fmtSeconds(h.P99))
 		}
 	}
+	fmt.Fprintf(w, "peak RSS: %s\n", peakRSS("/proc/self/status"))
 	print("stage latency:", stages)
 	print("resolve latency by origin:", resolves)
+}
+
+// peakRSS reads the peak resident set size (VmHWM) from a Linux
+// /proc/<pid>/status file and formats it in MiB, or returns "n/a" where the
+// file or the field is unavailable (non-Linux hosts, restricted /proc).
+func peakRSS(statusPath string) string {
+	b, err := os.ReadFile(statusPath)
+	if err != nil {
+		return "n/a"
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		v, ok := strings.CutPrefix(line, "VmHWM:")
+		if !ok {
+			continue
+		}
+		f := strings.Fields(v)
+		if len(f) != 2 || f[1] != "kB" {
+			return "n/a"
+		}
+		kb, err := strconv.ParseInt(f[0], 10, 64)
+		if err != nil {
+			return "n/a"
+		}
+		return fmt.Sprintf("%.1f MiB", float64(kb)/1024)
+	}
+	return "n/a"
 }
 
 // fmtSeconds renders a quantile estimate compactly (µs/ms/s by magnitude).

@@ -19,8 +19,10 @@ import (
 // Every experiment below compiles to a plan (see graph.go): recording and
 // evaluation cells become tasks writing into index-addressed slots, and the
 // artifact renders serially from those slots. The public driver functions
-// drain their own plan on a private pool; RunAll shards all plans' tasks
-// across one process-wide pool instead.
+// compile against their own sweep table and drain their own plan on a
+// private pool; RunAll compiles every plan against one shared table, so a
+// sweep several artifacts read is evaluated once, and shards all plans'
+// tasks across one process-wide pool.
 
 // Fig1 reproduces the motivating example of Fig. 1: global-link bytes of a
 // broadcast over eight nodes on a 2:1 oversubscribed fat tree with two

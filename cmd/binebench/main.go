@@ -30,10 +30,11 @@
 // warm and cold runs are observable, followed by the per-stage latency
 // breakdown — compile, execute, render, cache-lookup, store-load, synth,
 // fabric-record, evaluate — the per-origin resolve histograms (count,
-// total, p50/p95/p99) and the process's peak resident set size. -obs-json dumps the full metric registry (counters,
-// gauges, histogram buckets) as JSON for offline analysis; it shares one
-// metric vocabulary with binebenchd's /metrics endpoint, so sweep runs and
-// served runs are joinable.
+// total, p50/p95/p99) and the process's peak resident set size. -obs-json
+// dumps the full metric registry (counters, gauges, histogram buckets) as
+// JSON for offline analysis; it shares one metric vocabulary with
+// binebenchd's /metrics endpoint, so sweep runs and served runs are
+// joinable.
 //
 // Usage:
 //
@@ -56,7 +57,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -160,19 +160,10 @@ func peakRSS(statusPath string) string {
 		return "n/a"
 	}
 	for _, line := range strings.Split(string(b), "\n") {
-		v, ok := strings.CutPrefix(line, "VmHWM:")
-		if !ok {
-			continue
+		var kb int64
+		if _, err := fmt.Sscanf(line, "VmHWM: %d kB", &kb); err == nil {
+			return fmt.Sprintf("%.1f MiB", float64(kb)/1024)
 		}
-		f := strings.Fields(v)
-		if len(f) != 2 || f[1] != "kB" {
-			return "n/a"
-		}
-		kb, err := strconv.ParseInt(f[0], 10, 64)
-		if err != nil {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.1f MiB", float64(kb)/1024)
 	}
 	return "n/a"
 }

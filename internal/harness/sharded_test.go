@@ -51,8 +51,9 @@ func serialSuite(t *testing.T, workers int) string {
 
 // TestShardedRunAllByteIdentical pins the tentpole guarantee: RunAll's
 // flat cross-system job graph — every system's cells drained at once on
-// one shared pool — renders byte-identically to the serial per-system
-// path, at worker counts {1, NumCPU}.
+// one shared pool, every sweep compiled once in one shared sweep table —
+// renders byte-identically to the serial per-system path, where each
+// standalone driver compiles its own table, at worker counts {1, NumCPU}.
 func TestShardedRunAllByteIdentical(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()

@@ -349,6 +349,45 @@ func BenchmarkSynthRing(b *testing.B) {
 	}
 }
 
+// BenchmarkSynthRegistry times synthesis at p=1024 of the registry schedules
+// whose per-rank walks do block-set bookkeeping: the Bine and Bruck
+// alltoalls, the scatter-allgather broadcasts, the reduce-scatter-gather
+// reduces, a folded allreduce and a binomial butterfly reduce-scatter. Each
+// rank's walk should cost time proportional to its own sends.
+func BenchmarkSynthRegistry(b *testing.B) {
+	const p = 1024
+	reg := coll.Registry()
+	for _, c := range []struct {
+		coll coll.Collective
+		name string
+	}{
+		{coll.CAlltoall, "bine"},
+		{coll.CAlltoall, "bruck"},
+		{coll.CBcast, "bine-scatter-allgather"},
+		{coll.CBcast, "binomial-scatter-allgather"},
+		{coll.CReduce, "bine-rs-gather"},
+		{coll.CReduce, "binomial-rs-gather"},
+		{coll.CAllreduce, "bine-fold"},
+		{coll.CReduceScatter, "recursive-halving"},
+	} {
+		a, ok := coll.Find(reg, c.coll, c.name)
+		if !ok {
+			b.Fatalf("%v/%s not registered", c.coll, c.name)
+		}
+		b.Run(fmt.Sprintf("%v/%s-p%d", c.coll, c.name, p), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s, err := a.Pattern(p, 0, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := synth.Schedule(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEvaluateSizes compares per-size trace replay against the batched
 // evaluator over the paper's nine-size ladder: EvaluateSizes replays the
 // topology once and derives each size arithmetically, returning bit-identical

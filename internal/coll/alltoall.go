@@ -61,28 +61,28 @@ func BineAlltoall(c fabric.Comm, b *core.Butterfly, buf, out []int32) error {
 	x := &ctx{c: c}
 	for i := 0; i < b.S; i++ {
 		q := b.Partner(r, i)
-		var msg []int32
+		// Both partners move the same item count: the send sets mirror each
+		// other and each surviving destination carries 2^i accumulated items.
+		items := len(b.SendOffsets(i)) << uint(i)
+		msg := make([]int32, 0, items*(bs+1))
 		for _, d := range b.SendBlocks(r, i) {
 			msg = encodeItems(msg, held[d], bs)
 			held[d] = nil
 		}
 		x.send(q, i, 0, msg)
-		// The partner moves the same item count: its send set mirrors ours
-		// and each surviving destination carries 2^i accumulated items.
-		incoming := len(b.SendOffsets(i)) << uint(i)
-		recv := make([]int32, incoming*(bs+1))
+		recv := make([]int32, items*(bs+1))
 		x.recv(q, i, 0, recv)
 		if x.err != nil {
 			return x.err
 		}
-		for k := 0; k < incoming; k++ {
+		// The partner packs its items per destination block in SendBlocks
+		// order, 2^i items per block, so item k is destined for block k>>i.
+		// recv is fresh every step, so items keep pointing into it.
+		dests := b.SendBlocks(q, i)
+		for k := 0; k < items; k++ {
 			chunk := recv[k*(bs+1) : (k+1)*(bs+1)]
-			it := a2aItem{origin: int(chunk[0]), data: append([]int32(nil), chunk[1:]...)}
-			// The destination is recoverable from the schedule, but
-			// indexing by our own keep set keeps it simple: incoming items
-			// are destined for blocks we keep. Scan is avoided by decoding
-			// the destination below.
-			d := destOf(b, q, i, k)
+			it := a2aItem{origin: int(chunk[0]), data: chunk[1:]}
+			d := dests[k>>uint(i)]
 			held[d] = append(held[d], it)
 		}
 	}
@@ -93,13 +93,6 @@ func BineAlltoall(c fabric.Comm, b *core.Butterfly, buf, out []int32) error {
 		return fmt.Errorf("coll: alltoall rank %d assembled %d of %d items", r, got, p)
 	}
 	return nil
-}
-
-// destOf recovers the destination of the k-th item of the step-i message
-// sent by rank q: items are packed per destination block in SendBlocks
-// order, 2^i items per block.
-func destOf(b *core.Butterfly, q, i, k int) int {
-	return b.SendBlocks(q, i)[k>>uint(i)]
 }
 
 // BruckAlltoall is the classic logarithmic baseline (the closest binomial

@@ -23,24 +23,29 @@ func rotated(c fabric.Comm, root int) (fabric.Comm, error) {
 	return Group(c, ranks)
 }
 
+// checkRotatedTree rejects a composite tree not rooted at the rotated
+// communicator's rank 0.
+func checkRotatedTree(tree *core.Tree) error {
+	if tree.Root != 0 {
+		return fmt.Errorf("coll: composite tree rooted at %d, want 0", tree.Root)
+	}
+	return nil
+}
+
 // BcastScatterAllgather is the large-vector broadcast: scatter down a tree,
 // then allgather over a butterfly (Sec. 4.5 for Bine; the MPICH
-// scatter+allgather broadcast when given binomial kinds). The vector length
-// must be a multiple of the rank count.
-func BcastScatterAllgather(c fabric.Comm, treeKind core.Kind, bflyKind core.ButterflyKind, strat Strategy, root int, buf []int32) error {
+// scatter+allgather broadcast when given binomial kinds). The tree must be
+// rooted at 0, because the collective runs on a communicator rotated to
+// root. The vector length must be a multiple of the rank count.
+func BcastScatterAllgather(c fabric.Comm, tree *core.Tree, bfly *core.Butterfly, strat Strategy, root int, buf []int32) error {
 	p := c.Size()
 	if len(buf)%p != 0 || len(buf) == 0 {
 		return fmt.Errorf("coll: vector of %d elements not divisible into %d blocks", len(buf), p)
 	}
+	if err := checkRotatedTree(tree); err != nil {
+		return err
+	}
 	rc, err := rotated(c, root)
-	if err != nil {
-		return err
-	}
-	tree, err := core.NewTree(treeKind, p, 0)
-	if err != nil {
-		return err
-	}
-	bfly, err := core.NewButterfly(bflyKind, p)
 	if err != nil {
 		return err
 	}
@@ -53,22 +58,18 @@ func BcastScatterAllgather(c fabric.Comm, treeKind core.Kind, bflyKind core.Butt
 }
 
 // ReduceRsGather is the large-vector reduce: butterfly reduce-scatter, then
-// tree gather to the root (Sec. 4.5). in is unmodified; out is the fully
-// reduced vector at the root.
-func ReduceRsGather(c fabric.Comm, bflyKind core.ButterflyKind, treeKind core.Kind, strat Strategy, root int, in, out []int32, op Op) error {
+// tree gather to the root (Sec. 4.5). The tree must be rooted at 0, as for
+// BcastScatterAllgather. in is unmodified; out is the fully reduced vector
+// at the root.
+func ReduceRsGather(c fabric.Comm, bfly *core.Butterfly, tree *core.Tree, strat Strategy, root int, in, out []int32, op Op) error {
 	p := c.Size()
 	if len(in)%p != 0 || len(in) == 0 {
 		return fmt.Errorf("coll: vector of %d elements not divisible into %d blocks", len(in), p)
 	}
+	if err := checkRotatedTree(tree); err != nil {
+		return err
+	}
 	rc, err := rotated(c, root)
-	if err != nil {
-		return err
-	}
-	bfly, err := core.NewButterfly(bflyKind, p)
-	if err != nil {
-		return err
-	}
-	tree, err := core.NewTree(treeKind, p, 0)
 	if err != nil {
 		return err
 	}
@@ -141,22 +142,17 @@ func HierarchicalAllreduce(c fabric.Comm, ranksPerNode int, bflyKind core.Butter
 	return Allgather(Offset(intra, 2*phaseStride), intraBfly, Permute, slice, buf)
 }
 
-// AllreduceReduceBcast is the naive baseline: reduce to rank 0, then
-// broadcast.
-func AllreduceReduceBcast(c fabric.Comm, treeKind core.Kind, buf []int32, op Op) error {
-	p := c.Size()
-	tree, err := core.NewTree(treeKind, p, 0)
-	if err != nil {
-		return err
-	}
+// AllreduceReduceBcast is the naive baseline: reduce to the tree's root,
+// then broadcast from it.
+func AllreduceReduceBcast(c fabric.Comm, tree *core.Tree, buf []int32, op Op) error {
 	out := buf
-	if c.Rank() == 0 {
+	if c.Rank() == tree.Root {
 		out = make([]int32, len(buf))
 	}
 	if err := Reduce(c, tree, buf, out, op); err != nil {
 		return err
 	}
-	if c.Rank() == 0 {
+	if c.Rank() == tree.Root {
 		copy(buf, out)
 	}
 	return Bcast(Offset(c, phaseStride), tree, buf)

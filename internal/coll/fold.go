@@ -15,17 +15,38 @@ import (
 // folded ranks — exactly the overhead the paper notes — which is why the
 // even-p duplicate-prune construction is preferred for trees.
 
+// foldButterfly builds the butterfly the fold collectives run over p ranks:
+// the one over the p' = 2^⌊log2 p⌋ inner ranks.
+func foldButterfly(kind core.ButterflyKind, p int) (*core.Butterfly, error) {
+	if p < 1 {
+		return nil, fmt.Errorf("coll: fold over %d ranks", p)
+	}
+	return core.NewButterfly(kind, 1<<uint(core.Log2Floor(p)))
+}
+
+// checkFold rejects a butterfly that is not over c's p' inner ranks.
+func checkFold(c fabric.Comm, b *core.Butterfly) error {
+	if pp := 1 << uint(core.Log2Floor(c.Size())); b.P != pp {
+		return fmt.Errorf("coll: fold over %d ranks needs a %d-rank butterfly, got %d", c.Size(), pp, b.P)
+	}
+	return nil
+}
+
 // FoldedAllreduce runs an allreduce over any rank count: extras fold in,
-// the inner power-of-two Bine allreduce runs, and results unfold.
-func FoldedAllreduce(c fabric.Comm, kind core.ButterflyKind, buf []int32, op Op) error {
+// the inner power-of-two Bine allreduce runs, and results unfold. b is the
+// butterfly over the p' = 2^⌊log2 p⌋ inner ranks.
+func FoldedAllreduce(c fabric.Comm, b *core.Butterfly, buf []int32, op Op) error {
+	if err := checkFold(c, b); err != nil {
+		return err
+	}
 	p := c.Size()
 	if p == 1 {
 		return nil
 	}
-	if _, pow2 := core.Log2(p); pow2 {
-		return allreduceAuto(c, kind, buf, op)
+	pp := b.P
+	if p == pp {
+		return allreduceAuto(c, b, buf, op)
 	}
-	pp := 1 << uint(core.Log2Floor(p))
 	extra := p - pp
 	r := c.Rank()
 	x := &ctx{c: c}
@@ -48,7 +69,7 @@ func FoldedAllreduce(c fabric.Comm, kind core.ButterflyKind, buf []int32, op Op)
 	if err != nil {
 		return err
 	}
-	if err := allreduceAuto(inner, kind, buf, op); err != nil {
+	if err := allreduceAuto(inner, b, buf, op); err != nil {
 		return err
 	}
 	if r < extra {
@@ -59,11 +80,7 @@ func FoldedAllreduce(c fabric.Comm, kind core.ButterflyKind, buf []int32, op Op)
 
 // allreduceAuto picks the bandwidth-optimal reduce-scatter+allgather when
 // the vector divides evenly, falling back to recursive doubling.
-func allreduceAuto(c fabric.Comm, kind core.ButterflyKind, buf []int32, op Op) error {
-	b, err := core.NewButterfly(kind, c.Size())
-	if err != nil {
-		return err
-	}
+func allreduceAuto(c fabric.Comm, b *core.Butterfly, buf []int32, op Op) error {
 	if len(buf) >= c.Size() && len(buf)%c.Size() == 0 {
 		return AllreduceRsAg(c, b, buf, op)
 	}
@@ -71,25 +88,25 @@ func allreduceAuto(c fabric.Comm, kind core.ButterflyKind, buf []int32, op Op) e
 }
 
 // FoldedReduceScatter runs a reduce-scatter over any rank count. The inner
-// power-of-two phase reduce-scatters whole fold-group shares; a final
-// scatter step distributes each share's blocks to the folded ranks.
-func FoldedReduceScatter(c fabric.Comm, kind core.ButterflyKind, strat Strategy, buf, out []int32, op Op) error {
+// power-of-two phase reduce-scatters whole fold-group shares over b, the
+// butterfly over the p' inner ranks; a final scatter step distributes each
+// share's blocks to the folded ranks.
+func FoldedReduceScatter(c fabric.Comm, b *core.Butterfly, strat Strategy, buf, out []int32, op Op) error {
 	p := c.Size()
 	if len(buf)%p != 0 || len(buf) == 0 {
 		return fmt.Errorf("coll: vector of %d elements not divisible into %d blocks", len(buf), p)
 	}
-	if _, pow2 := core.Log2(p); pow2 {
-		b, err := core.NewButterfly(kind, p)
-		if err != nil {
-			return err
-		}
+	if err := checkFold(c, b); err != nil {
+		return err
+	}
+	pp := b.P
+	if p == pp {
 		return ReduceScatter(c, b, strat, buf, out, op)
 	}
 	bs := len(buf) / p
 	if len(out) != bs {
 		return fmt.Errorf("coll: reduce-scatter out has %d elements, want %d", len(out), bs)
 	}
-	pp := 1 << uint(core.Log2Floor(p))
 	extra := p - pp
 	r := c.Rank()
 	x := &ctx{c: c}
@@ -116,10 +133,6 @@ func FoldedReduceScatter(c fabric.Comm, kind core.ButterflyKind, strat Strategy,
 	if err != nil {
 		return err
 	}
-	b, err := core.NewButterfly(kind, pp)
-	if err != nil {
-		return err
-	}
 	// Repack: inner share i = [block i, block i+p' (zero-padded when absent)].
 	packed := make([]int32, pp*shareLen)
 	for i := 0; i < pp; i++ {
@@ -140,21 +153,21 @@ func FoldedReduceScatter(c fabric.Comm, kind core.ButterflyKind, strat Strategy,
 
 // FoldedAllgather runs an allgather over any rank count: folded ranks seed
 // their block through their partner, which contributes a doubled share to
-// the inner power-of-two allgather and forwards the assembled vector back.
-func FoldedAllgather(c fabric.Comm, kind core.ButterflyKind, strat Strategy, in, out []int32) error {
+// the inner power-of-two allgather over b, the butterfly over the p' inner
+// ranks, and forwards the assembled vector back.
+func FoldedAllgather(c fabric.Comm, b *core.Butterfly, strat Strategy, in, out []int32) error {
 	p := c.Size()
 	bs := len(in)
 	if len(out) != p*bs {
 		return fmt.Errorf("coll: allgather out has %d elements, want %d", len(out), p*bs)
 	}
-	if _, pow2 := core.Log2(p); pow2 {
-		b, err := core.NewButterfly(kind, p)
-		if err != nil {
-			return err
-		}
+	if err := checkFold(c, b); err != nil {
+		return err
+	}
+	pp := b.P
+	if p == pp {
 		return Allgather(c, b, strat, in, out)
 	}
-	pp := 1 << uint(core.Log2Floor(p))
 	extra := p - pp
 	r := c.Rank()
 	x := &ctx{c: c}
@@ -172,10 +185,6 @@ func FoldedAllgather(c fabric.Comm, kind core.ButterflyKind, strat Strategy, in,
 		}
 	}
 	inner, err := Group(Offset(c, phaseStride), firstRanks(pp))
-	if err != nil {
-		return err
-	}
-	b, err := core.NewButterfly(kind, pp)
 	if err != nil {
 		return err
 	}

@@ -156,3 +156,45 @@ func TestTreeAlgoKindsDiffer(t *testing.T) {
 		t.Error("distance-doubling and distance-halving trees coincide")
 	}
 }
+
+// TestBruckAlltoallCounts checks the closed-form per-step item counts of
+// bruckAlltoallPattern against a global simulation of item positions: every
+// rank starts with one item per destination, and at hop length k an item
+// moves when its remaining ring displacement has bit k set.
+func TestBruckAlltoallCounts(t *testing.T) {
+	for p := 2; p <= 69; p++ {
+		s, err := bruckAlltoallPattern(p, 0, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := s.(*bruckPattern).moved
+		held := make([][]int, p) // held[r] = destinations of the items at r
+		for r := range held {
+			for d := 0; d < p; d++ {
+				held[r] = append(held[r], d)
+			}
+		}
+		step := 0
+		for k := 1; k < p; k, step = k<<1, step+1 {
+			next := make([][]int, p)
+			for r := 0; r < p; r++ {
+				moved := 0
+				for _, d := range held[r] {
+					if (mod(d-r, p)/k)%2 == 1 {
+						moved++
+						next[(r+k)%p] = append(next[(r+k)%p], d)
+					} else {
+						next[r] = append(next[r], d)
+					}
+				}
+				if step >= len(got) || got[step] != moved {
+					t.Fatalf("p=%d step %d rank %d: simulation moves %d items, closed form %v", p, step, r, moved, got)
+				}
+			}
+			held = next
+		}
+		if step != len(got) {
+			t.Fatalf("p=%d: closed form has %d steps, simulation %d", p, len(got), step)
+		}
+	}
+}

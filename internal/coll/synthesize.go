@@ -15,8 +15,8 @@ import (
 // is a pure function of (p, root, n) — so walking the ranks one by one
 // yields exactly the trace a concurrent recorded run would, without
 // goroutines, mailboxes or payload traffic; the one exception (Bruck's
-// alltoall) carries a Synth override that derives the same pattern by
-// simulation. internal/synth drives the walk and merges the columns.
+// alltoall) carries a Synth override that derives the same pattern in
+// closed form. internal/synth drives the walk and merges the columns.
 type Synthesizer interface {
 	// Ranks returns the schedule's rank count.
 	Ranks() int
@@ -69,49 +69,32 @@ func (s *pattern) Walk(rank int, c fabric.Comm) error {
 // the count of held items whose remaining ring displacement has the step
 // bit set, and a rank only learns its incoming count from a header message
 // at runtime — so the generic zero-buffer walk cannot reproduce it. The
-// counts are still pure schedule math (an item's hops depend only on its
-// destination's displacement, never on payload), so a global simulation of
-// item positions yields every rank's per-step send sizes up front.
+// counts still have a closed form. An item with ring displacement
+// D = dest − origin (mod p) hops at the step of hop length k exactly when
+// bit k of D is set, and before that step it has moved by D's lower bits
+// only. So at every step each rank holds exactly one item of each
+// displacement D ∈ [0, p), and every rank forwards
+// #{D ∈ [0, p) : D&k ≠ 0} items.
 func bruckAlltoallPattern(p, _, n int) (Synthesizer, error) {
-	// held[r] lists the destinations of the items currently at rank r; each
-	// rank starts holding one item per destination.
-	held := make([][]int, p)
-	for r := range held {
-		for d := 0; d < p; d++ {
-			held[r] = append(held[r], d)
-		}
-	}
-	var moved [][]int32 // moved[step][rank] = items rank forwards that step
+	var moved []int
 	for k := 1; k < p; k <<= 1 {
-		row := make([]int32, p)
-		next := make([][]int, p)
-		for r := 0; r < p; r++ {
-			to := (r + k) % p
-			for _, d := range held[r] {
-				if (mod(d-r, p)/k)%2 == 1 {
-					row[r]++
-					next[to] = append(next[to], d)
-				} else {
-					next[r] = append(next[r], d)
-				}
-			}
-		}
-		held = next
-		moved = append(moved, row)
+		// Each full period of 2k displacements has k with bit k set; the
+		// partial period contributes whatever it has past its first k.
+		moved = append(moved, p/(2*k)*k+max(0, p%(2*k)-k))
 	}
 	return &bruckPattern{p: p, n: n, moved: moved}, nil
 }
 
 type bruckPattern struct {
 	p, n  int
-	moved [][]int32
+	moved []int // moved[step] = items every rank forwards that step
 }
 
 func (s *bruckPattern) Ranks() int { return s.p }
 
 // Walk emits rank's sends exactly as BruckAlltoall does: per step, the item
 // message — recorded even when empty — then the one-element count header
-// (the runtime negotiation whose answer the simulation already knows).
+// (the runtime negotiation whose answer the closed form already knows).
 func (s *bruckPattern) Walk(rank int, c fabric.Comm) error {
 	p, n := s.p, s.n
 	if n%p != 0 || n == 0 {
@@ -125,7 +108,7 @@ func (s *bruckPattern) Walk(rank int, c fabric.Comm) error {
 	for step, k := 0, 1; k < p; step, k = step+1, k<<1 {
 		to := (rank + k) % p
 		var msg []int32
-		if m := int(s.moved[step][rank]); m > 0 {
+		if m := s.moved[step]; m > 0 {
 			msg = make([]int32, m*(bs+2))
 		}
 		if err := c.Send(to, step, 0, msg); err != nil {

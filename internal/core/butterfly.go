@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ButterflyKind identifies a butterfly (pairwise-exchange) schedule family.
 type ButterflyKind int
@@ -245,63 +248,42 @@ func (b *Butterfly) binomialBit(i int) int {
 // For an allgather run as the mirror image (step order reversed, data
 // growing) the same sets describe the blocks received.
 func (b *Butterfly) SendSet(r, i int) []int {
-	var out []int
 	if b.Kind.isBine() {
-		for a := 0; a < b.P; a++ {
-			if b.offsetSent(a, i) {
-				out = append(out, b.blockAt(r, a))
-			}
-		}
-		sortInts(out)
+		out := b.SendBlocks(r, i)
+		slices.Sort(out)
 		return out
 	}
-	// Binomial: blocks matching r on all previous step bits and matching
-	// the partner on the current one.
-	for blk := 0; blk < b.P; blk++ {
-		if b.binomialOwnedBefore(r, blk, i) && (blk>>uint(b.binomialBit(i)))&1 != (r>>uint(b.binomialBit(i)))&1 {
-			out = append(out, blk)
-		}
-	}
-	return out
+	// Binomial: the blocks matching r on the bits of steps 0..i−1 and the
+	// partner on the step-i bit, i.e. the partner's keep set after step i.
+	return b.binomialBlocks(r^(1<<uint(b.binomialBit(i))), i+1)
 }
 
 // KeepSet returns the blocks rank r still owns after steps 0..i of a
 // reduce-scatter (ascending block-index order). KeepSet(r, −1) is every
 // block.
 func (b *Butterfly) KeepSet(r, i int) []int {
-	var out []int
 	if b.Kind.isBine() {
-		for a := 0; a < b.P; a++ {
-			owned := true
-			for j := 0; j <= i; j++ {
-				if !b.offsetKeeps(a, j) {
-					owned = false
-					break
-				}
-			}
-			if owned {
-				out = append(out, b.blockAt(r, a))
-			}
-		}
-		sortInts(out)
+		out := b.KeepBlocks(r, i)
+		slices.Sort(out)
 		return out
 	}
-	for blk := 0; blk < b.P; blk++ {
-		if b.binomialOwnedBefore(r, blk, i+1) {
-			out = append(out, blk)
+	return b.binomialBlocks(r, i+1)
+}
+
+// binomialBlocks enumerates, in ascending order, the 2^(S−n) blocks that
+// match r on the bits of steps 0..n−1: the low n bits for recursive
+// doubling, the high n bits for recursive halving.
+func (b *Butterfly) binomialBlocks(r, n int) []int {
+	free := uint(b.S - n)
+	out := make([]int, 1<<free)
+	for t := range out {
+		if b.Kind == BflyBinomialDD {
+			out[t] = t<<uint(n) | r&(1<<uint(n)-1)
+		} else {
+			out[t] = r&^(1<<free-1) | t
 		}
 	}
 	return out
-}
-
-func (b *Butterfly) binomialOwnedBefore(r, blk, i int) bool {
-	for j := 0; j < i; j++ {
-		bit := uint(b.binomialBit(j))
-		if (blk>>bit)&1 != (r>>bit)&1 {
-			return false
-		}
-	}
-	return true
 }
 
 // FinalBlock returns the block rank r owns after a full reduce-scatter down
@@ -342,15 +324,5 @@ func (b *Butterfly) PermutedInverse(pos int) int {
 		return int(Reverse(uint64(pos), b.S))
 	default:
 		return pos
-	}
-}
-
-func sortInts(v []int) {
-	// Insertion sort: the sets here are small and often nearly sorted;
-	// avoids pulling package sort into this hot path.
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
 	}
 }

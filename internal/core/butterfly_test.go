@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 var allBflyKinds = []ButterflyKind{BflyBineDH, BflyBineDD, BflyBinomialDH, BflyBinomialDD, BflySwing}
 
@@ -346,5 +349,97 @@ func TestButterflyRejectsNonPowerOfTwo(t *testing.T) {
 	}
 	if _, err := NewButterfly(ButterflyKind(99), 8); err == nil {
 		t.Error("unknown kind should fail")
+	}
+}
+
+// refSendSet and refKeepSet are the scan definitions of the block sets: test
+// every offset (Bine) or every block index (binomial) against the per-step
+// predicates, then sort. They are the oracle for the direct enumerations.
+func refSendSet(b *Butterfly, r, i int) []int {
+	var out []int
+	if b.Kind.isBine() {
+		for a := 0; a < b.P; a++ {
+			if b.offsetSent(a, i) {
+				out = append(out, b.blockAt(r, a))
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	bit := uint(b.binomialBit(i))
+	for blk := 0; blk < b.P; blk++ {
+		if refOwnedBefore(b, r, blk, i) && (blk>>bit)&1 != (r>>bit)&1 {
+			out = append(out, blk)
+		}
+	}
+	return out
+}
+
+func refKeepSet(b *Butterfly, r, i int) []int {
+	var out []int
+	if b.Kind.isBine() {
+		for a := 0; a < b.P; a++ {
+			owned := true
+			for j := 0; j <= i; j++ {
+				if !b.offsetKeeps(a, j) {
+					owned = false
+					break
+				}
+			}
+			if owned {
+				out = append(out, b.blockAt(r, a))
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	for blk := 0; blk < b.P; blk++ {
+		if refOwnedBefore(b, r, blk, i+1) {
+			out = append(out, blk)
+		}
+	}
+	return out
+}
+
+// refOwnedBefore reports whether blk matches r on the bits of steps 0..i−1.
+func refOwnedBefore(b *Butterfly, r, blk, i int) bool {
+	for j := 0; j < i; j++ {
+		bit := uint(b.binomialBit(j))
+		if (blk>>bit)&1 != (r>>bit)&1 {
+			return false
+		}
+	}
+	return true
+}
+
+func checkSetsMatchScan(t *testing.T, b *Butterfly, r int) {
+	t.Helper()
+	for i := -1; i < b.S; i++ {
+		if got, want := b.KeepSet(r, i), refKeepSet(b, r, i); !slices.Equal(got, want) {
+			t.Fatalf("%v p=%d r=%d: KeepSet(%d) = %v, scan gives %v", b.Kind, b.P, r, i, got, want)
+		}
+		if i < 0 {
+			continue
+		}
+		if got, want := b.SendSet(r, i), refSendSet(b, r, i); !slices.Equal(got, want) {
+			t.Fatalf("%v p=%d r=%d: SendSet(%d) = %v, scan gives %v", b.Kind, b.P, r, i, got, want)
+		}
+	}
+}
+
+// TestBlockSetsMatchScan pins SendSet and KeepSet to their scan definitions:
+// every rank for p up to 256, and a sample of even and odd ranks at p=1024.
+func TestBlockSetsMatchScan(t *testing.T) {
+	for _, kind := range allBflyKinds {
+		for p := 2; p <= 256; p *= 2 {
+			b := MustButterfly(kind, p)
+			for r := 0; r < p; r++ {
+				checkSetsMatchScan(t, b, r)
+			}
+		}
+		b := MustButterfly(kind, 1024)
+		for _, r := range []int{0, 1, 2, 3, 5, 170, 341, 512, 513, 682, 1022, 1023} {
+			checkSetsMatchScan(t, b, r)
+		}
 	}
 }

@@ -79,13 +79,25 @@ func checkAlgoEquivalence(t *testing.T, algo coll.Algorithm, p, root int) {
 
 // TestRegistryScheduleEquivalence sweeps every registered algorithm over
 // representative (p, root) combinations: the synthesized trace must encode
-// byte-identically to the fabric recording for every one of them.
+// byte-identically to the fabric recording for every one of them. The
+// 64- and 128-rank combinations cover odd roots and the composite and
+// butterfly block bookkeeping at a scale where each rank sends many blocks
+// per step; Bruck's alltoall, whose counts are derived in closed form, is
+// also checked at non-power-of-two rank counts.
 func TestRegistryScheduleEquivalence(t *testing.T) {
-	combos := []struct{ p, root int }{{4, 0}, {16, 0}, {16, 5}, {8, 7}}
-	for _, algo := range coll.Registry() {
+	combos := []struct{ p, root int }{{4, 0}, {16, 0}, {16, 5}, {8, 7}, {64, 0}, {64, 37}, {128, 5}}
+	reg := coll.Registry()
+	for _, algo := range reg {
 		for _, c := range combos {
 			checkAlgoEquivalence(t, algo, c.p, c.root)
 		}
+	}
+	bruck, ok := coll.Find(reg, coll.CAlltoall, "bruck")
+	if !ok {
+		t.Fatal("alltoall/bruck not registered")
+	}
+	for _, p := range []int{12, 100} {
+		checkAlgoEquivalence(t, bruck, p, 0)
 	}
 }
 
